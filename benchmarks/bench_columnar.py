@@ -3,8 +3,8 @@
 One dense convoy workload (10k entities by default: 5000 objects + 5000
 queries in 1000-entity convoys, 70% parked — a traffic-jam regime where
 clusters grow to hundreds of members, everyone reporting every tick)
-driven through the SCUBA operator in six configurations — {plain,
-incremental sweep, batched ingest} x {serial, sharded} — each run
+driven through the SCUBA operator in four configurations — {plain,
+incremental sweep} x {serial, sharded} — each run
 twice: ``columnar=False`` (per-member Python objects, the reference)
 and ``columnar=True`` (the array-backed member/table stores plus the
 vectorized maintenance engine of :mod:`repro.columnar`).
@@ -60,7 +60,6 @@ DELTA = 2.0
 VARIANTS = [
     {"name": "plain", "kwargs": {}},
     {"name": "incremental", "kwargs": {"incremental": True}},
-    {"name": "batched-ingest", "kwargs": {"batched_ingest": True}},
 ]
 
 ENGINES = ["serial", "sharded"]

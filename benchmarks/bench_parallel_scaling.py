@@ -61,8 +61,8 @@ def run_config(
     )
     # Ingest's share of the operator work (ingest + join): the number
     # that says whether cluster maintenance or the Δ-join dominates this
-    # configuration — sharding attacks the join, the batched ingest
-    # kernels attack the rest.
+    # configuration — sharding attacks the join, the column walk of
+    # ingest_batch attacks the rest.
     ingest = data["totals"]["ingest_seconds"]
     busy = ingest + data["totals"]["join_seconds"]
     data["ingest_share"] = ingest / busy if busy > 0 else None

@@ -91,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                         action="store_false",
                         help="per-pair reference sweep (one join-between and "
                              "kernel dispatch per candidate cluster pair)")
-    parser.add_argument("--batched-ingest", action="store_true",
-                        help="batched columnar ingest: process each tick's "
-                             "updates per cluster group through the "
-                             "--kernel-backend ingest kernel instead of one "
-                             "at a time (scuba only; answers unchanged)")
     parser.add_argument("--columnar", action="store_true",
                         help="columnar-first storage: cluster members and "
                              "table bookkeeping rest in parallel arrays and "
@@ -150,7 +145,6 @@ def make_scuba_config(args: argparse.Namespace) -> ScubaConfig:
         kernel_backend=args.kernel_backend,
         incremental=args.incremental,
         batched_join=args.batched_join,
-        batched_ingest=args.batched_ingest,
         columnar=args.columnar,
         columnar_backend=args.columnar_backend,
         stale_after=args.stale_after,
@@ -232,14 +226,11 @@ def print_cache_footer(counters: dict) -> None:
             f"batched join: candidate pairs {counters.get('join_pairs_batched', 0)} | "
             f"fused segments {counters.get('join_segments', 0)}"
         )
-    if counters.get("batched_ingest"):
+    if "ingest_fast_rows" in counters:
         print(
-            f"ingest [{counters.get('ingest_backend', '?')}]: "
-            f"batched {counters.get('fast_path_batched', 0)} | "
-            f"bulk absorbs {counters.get('bulk_absorbs', 0)} | "
-            f"grid refreshes deduped {counters.get('grid_refresh_deduped', 0)} "
-            f"(+{counters.get('grid_refresh_skips', 0)} skipped) | "
-            f"fallbacks {counters.get('batch_fallbacks', 0)}"
+            f"ingest: fast rows {counters['ingest_fast_rows']} | "
+            f"fallback rows {counters['ingest_fallback_rows']} | "
+            f"rejected non-finite {counters['rejected_updates.nonfinite']}"
         )
     if counters.get("columnar"):
         print(
@@ -264,10 +255,6 @@ def main(argv=None) -> int:
     if args.incremental and args.operator != "scuba":
         raise SystemExit(
             f"--incremental requires --operator scuba, got {args.operator}"
-        )
-    if args.batched_ingest and args.operator != "scuba":
-        raise SystemExit(
-            f"--batched-ingest requires --operator scuba, got {args.operator}"
         )
     if args.batched_join is not None and args.operator != "scuba":
         raise SystemExit(

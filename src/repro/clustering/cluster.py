@@ -335,66 +335,22 @@ class MovingCluster:
         speed recomputed, and the radius enlarged when the member lies
         outside the current footprint.
         """
-        kind = update.kind
-        is_object = kind is EntityKind.OBJECT
-        table = self.objects if is_object else self.queries
-        member = table.get(update.entity_id)
+        is_object = update.kind is EntityKind.OBJECT
         loc = update.loc
         x, y = loc.x, loc.y
-        if member is not None:
-            if (
-                not member.position_shed
-                and update.speed == member.speed
-                and update.cn_node == member.cn_node
-                and x == member.abs_x + (self.trans_x - member.tr_x)
-                and y == member.abs_y + (self.trans_y - member.tr_y)
-            ):
-                # Heartbeat: the member re-reported exactly where the
-                # cluster already places it, at the same speed, bound for
-                # the same node.  Nothing join-relevant changed, so no
-                # version bumps — parked traffic stays cacheable (and,
-                # under incremental mode, replayable) while reporting.
-                member.last_t = update.t
-                return
-            self.version += 1
-            self.struct_version += 1
-            # Refresh — the per-tuple steady state, kept deliberately lean.
-            # The paper "refrains from constantly updating" cluster-relative
-            # state: a re-reporting member just overwrites its position and
-            # speed.  The centroid is NOT re-balanced here (the cluster
-            # tracks its members through advance(); maintenance recentres
-            # once per interval), so no covering-radius inflation is needed
-            # — only the absorbed member itself can extend the footprint.
-            if member.position_shed:
-                member.position_shed = False
-                self.shed_count -= 1
-            self._speed_sum += update.speed - member.speed
-            self.avespeed = self._speed_sum / (
-                len(self.objects) + len(self.queries)
+        cn_loc = update.cn_loc
+        if update.entity_id in (self.objects if is_object else self.queries):
+            self.restamp(
+                update.entity_id,
+                is_object,
+                x,
+                y,
+                update.speed,
+                update.cn_node,
+                cn_loc.x,
+                cn_loc.y,
+                update.t,
             )
-            member.speed = update.speed
-            member.abs_x = x
-            member.abs_y = y
-            member.tr_x = self.trans_x
-            member.tr_y = self.trans_y
-            member.last_t = update.t
-            if member.cn_node != update.cn_node:
-                member.cn_node = update.cn_node
-                member.cn_x = update.cn_loc.x
-                member.cn_y = update.cn_loc.y
-            if len(self.objects) + len(self.queries) == 1:
-                # A single-member cluster simply follows its entity: the
-                # member *is* the centroid, and the footprint is a point.
-                self.cx = x
-                self.cy = y
-                self.radius = 0.0
-                self._update_expiry(update.t)
-                return
-            dx = x - self.cx
-            dy = y - self.cy
-            dist_sq = dx * dx + dy * dy
-            if dist_sq > self.radius * self.radius:
-                self.radius = math.sqrt(dist_sq)
             return
         self.version += 1
         self.struct_version += 1
@@ -409,32 +365,136 @@ class MovingCluster:
         shift_y = (y - self.cy) / count
         self.cx += shift_x
         self.cy += shift_y
-        member = ClusterMember(
-            entity_id=update.entity_id,
-            kind=kind,
-            abs_x=x,
-            abs_y=y,
-            tr_x=self.trans_x,
-            tr_y=self.trans_y,
-            speed=update.speed,
-            last_t=update.t,
-            range_width=0.0 if is_object else update.range_width,
-            range_height=0.0 if is_object else update.range_height,
-            cn_node=update.cn_node,
-            cn_x=update.cn_loc.x,
-            cn_y=update.cn_loc.y,
+        half_diag = self._file_member(
+            update.entity_id,
+            is_object,
+            x,
+            y,
+            update.speed,
+            update.t,
+            0.0 if is_object else update.range_width,
+            0.0 if is_object else update.range_height,
+            update.cn_node,
+            cn_loc.x,
+            cn_loc.y,
         )
-        table[update.entity_id] = member
         self._speed_sum += update.speed
         self.avespeed = self._speed_sum / count
-        if not is_object and member.half_diag > self.max_query_half_diag:
-            self.max_query_half_diag = member.half_diag
+        if not is_object and half_diag > self.max_query_half_diag:
+            self.max_query_half_diag = half_diag
         covering = self.radius
         if count > 1:
             covering += math.hypot(shift_x, shift_y)
         dist = math.hypot(x - self.cx, y - self.cy)
         self.radius = covering if covering > dist else dist
         self._update_expiry(update.t)
+
+    def _file_member(
+        self,
+        entity_id: int,
+        is_object: bool,
+        x: float,
+        y: float,
+        speed: float,
+        t: float,
+        range_width: float,
+        range_height: float,
+        cn_node: NodeId,
+        cn_x: float,
+        cn_y: float,
+    ) -> float:
+        """Store a new member's row; returns its query half diagonal."""
+        member = ClusterMember(
+            entity_id=entity_id,
+            kind=EntityKind.OBJECT if is_object else EntityKind.QUERY,
+            abs_x=x,
+            abs_y=y,
+            tr_x=self.trans_x,
+            tr_y=self.trans_y,
+            speed=speed,
+            last_t=t,
+            range_width=range_width,
+            range_height=range_height,
+            cn_node=cn_node,
+            cn_x=cn_x,
+            cn_y=cn_y,
+        )
+        (self.objects if is_object else self.queries)[entity_id] = member
+        return member.half_diag
+
+    def restamp(
+        self,
+        entity_id: int,
+        is_object: bool,
+        x: float,
+        y: float,
+        speed: float,
+        cn_node: NodeId,
+        cn_x: float,
+        cn_y: float,
+        t: float,
+    ) -> bool:
+        """Commit a fresh report of an existing member (the stay case).
+
+        The refresh arithmetic of :meth:`absorb`, shared with the column
+        walk of ``Scuba.ingest_batch`` so both commit a stay identically.
+        Returns False for a heartbeat (nothing but ``last_t`` changed) and
+        True when the cluster's state was refreshed.
+        """
+        member = (self.objects if is_object else self.queries)[entity_id]
+        if (
+            not member.position_shed
+            and speed == member.speed
+            and cn_node == member.cn_node
+            and x == member.abs_x + (self.trans_x - member.tr_x)
+            and y == member.abs_y + (self.trans_y - member.tr_y)
+        ):
+            # Heartbeat: the member re-reported exactly where the cluster
+            # already places it, at the same speed, bound for the same
+            # node.  Nothing join-relevant changed, so no version bumps —
+            # parked traffic stays cacheable (and, under incremental mode,
+            # replayable) while reporting.
+            member.last_t = t
+            return False
+        self.version += 1
+        self.struct_version += 1
+        # Refresh — the per-tuple steady state, kept deliberately lean.  The
+        # paper "refrains from constantly updating" cluster-relative state:
+        # a re-reporting member just overwrites its position and speed.
+        # The centroid is NOT re-balanced here (the cluster tracks its
+        # members through advance(); maintenance recentres once per
+        # interval), so no covering-radius inflation is needed — only the
+        # absorbed member itself can extend the footprint.
+        if member.position_shed:
+            member.position_shed = False
+            self.shed_count -= 1
+        self._speed_sum += speed - member.speed
+        count = len(self.objects) + len(self.queries)
+        self.avespeed = self._speed_sum / count
+        member.speed = speed
+        member.abs_x = x
+        member.abs_y = y
+        member.tr_x = self.trans_x
+        member.tr_y = self.trans_y
+        member.last_t = t
+        if member.cn_node != cn_node:
+            member.cn_node = cn_node
+            member.cn_x = cn_x
+            member.cn_y = cn_y
+        if count == 1:
+            # A single-member cluster simply follows its entity: the member
+            # *is* the centroid, and the footprint is a point.
+            self.cx = x
+            self.cy = y
+            self.radius = 0.0
+            self._update_expiry(t)
+            return True
+        dx = x - self.cx
+        dy = y - self.cy
+        dist_sq = dx * dx + dy * dy
+        if dist_sq > self.radius * self.radius:
+            self.radius = math.sqrt(dist_sq)
+        return True
 
     def remove(self, entity_id: int, kind: EntityKind) -> ClusterMember:
         """Remove a member (it re-clustered elsewhere or its stream ended)."""

@@ -85,19 +85,12 @@ class ClusterHome:
     def cluster_of(self, entity_id: int, kind: EntityKind) -> Optional[int]:
         return self._home.get(entity_id * 2 + (kind is EntityKind.OBJECT))
 
-    def cluster_of_key(self, key: int) -> Optional[int]:
-        """Lookup by pre-packed key (``entity_id * 2 + is_object``).
-
-        The batched ingest path packs keys once per tick into columnar
-        arrays; this entry point skips re-deriving them per lookup.
-        """
-        return self._home.get(key)
-
     def key_map(self) -> Dict[int, int]:
         """The key → cid table itself (treat as read-only).
 
-        The batched grouping pass binds this dict's ``.get`` once per
-        tick, turning the per-update home lookup into a bare dict probe.
+        The column walk of ``Scuba.ingest_batch`` binds this dict's
+        ``.get`` once per tick, turning the per-row home lookup into a bare
+        dict probe on the batch's pre-packed keys.
         """
         return self._home
 
@@ -222,14 +215,6 @@ class ClusterWorld:
         #: constructor override; the columnar subsystem installs one so
         #: every cluster (including split successors) is column-backed.
         self.cluster_factory = cluster_factory
-        #: Optional callable invoked with the target cluster right before
-        #: a membership mutation (absorb/evict).  The batched ingest
-        #: kernel installs it for the duration of one tick's walk so
-        #: slow-path rows that touch a cluster with uncommitted batched
-        #: rows first flush those rows in arrival order — keeping the
-        #: mutation sequence identical to the scalar loop.  Always
-        #: ``None`` outside a batched walk (and never pickled set).
-        self.pre_absorb_hook = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -267,18 +252,12 @@ class ClusterWorld:
 
     def absorb(self, cluster: MovingCluster, update) -> None:
         """Absorb ``update`` into ``cluster`` and keep home/grid in sync."""
-        hook = self.pre_absorb_hook
-        if hook is not None:
-            hook(cluster)
         cluster.absorb(update)
         self.home.assign(update.entity_id, update.kind, cluster.cid)
         self.grid.refresh(cluster)
 
     def evict(self, cluster: MovingCluster, entity_id: int, kind: EntityKind) -> None:
         """Remove one member; dissolve the cluster if it becomes empty."""
-        hook = self.pre_absorb_hook
-        if hook is not None:
-            hook(cluster)
         cluster.remove(entity_id, kind)
         self.home.release(entity_id, kind)
         if cluster.is_empty:

@@ -74,93 +74,88 @@ class ColumnarMovingCluster(MovingCluster):
         return columnar_numpy(self.backend_name)
 
     # -- membership maintenance (bit-identical absorb over columns) ---------
+    #
+    # ``absorb`` is inherited; it files and refreshes members through the
+    # two column overrides below.
 
-    def absorb(self, update) -> None:
-        kind = update.kind
-        is_object = kind is EntityKind.OBJECT
-        store = self.obj_store if is_object else self.qry_store
-        loc = update.loc
-        x, y = loc.x, loc.y
-        slot = store.index.get(update.entity_id)
-        if slot is not None:
-            shed = store.shed[slot]
-            if (
-                not shed
-                and update.speed == store.speed[slot]
-                and update.cn_node == store.cn_node[slot]
-                and x == store.abs_x[slot] + (self.trans_x - store.tr_x[slot])
-                and y == store.abs_y[slot] + (self.trans_y - store.tr_y[slot])
-            ):
-                # Heartbeat: identical report, no version bumps (see the
-                # object-based absorb for the full rationale).
-                store.last_t[slot] = update.t
-                return
-            self.version += 1
-            self.struct_version += 1
-            if shed:
-                store.shed[slot] = 0
-                store.shed_count -= 1
-                self.shed_count -= 1
-            self._speed_sum += update.speed - store.speed[slot]
-            n = len(self.obj_store.index) + len(self.qry_store.index)
-            self.avespeed = self._speed_sum / n
-            store.speed[slot] = update.speed
-            store.abs_x[slot] = x
-            store.abs_y[slot] = y
-            store.tr_x[slot] = self.trans_x
-            store.tr_y[slot] = self.trans_y
-            store.last_t[slot] = update.t
-            if store.cn_node[slot] != update.cn_node:
-                store.cn_node[slot] = update.cn_node
-                store.cn_x[slot] = update.cn_loc.x
-                store.cn_y[slot] = update.cn_loc.y
-            if n == 1:
-                self.cx = x
-                self.cy = y
-                self.radius = 0.0
-                self._update_expiry(update.t)
-                return
-            dx = x - self.cx
-            dy = y - self.cy
-            dist_sq = dx * dx + dy * dy
-            if dist_sq > self.radius * self.radius:
-                self.radius = math.sqrt(dist_sq)
-            return
-        self.version += 1
-        self.struct_version += 1
-        count = len(self.obj_store.index) + len(self.qry_store.index) + 1
-        shift_x = (x - self.cx) / count
-        shift_y = (y - self.cy) / count
-        self.cx += shift_x
-        self.cy += shift_y
-        range_w = 0.0 if is_object else update.range_width
-        range_h = 0.0 if is_object else update.range_height
-        half_diag = 0.5 * math.hypot(range_w, range_h)
-        store.insert(
-            update.entity_id,
+    def _file_member(
+        self,
+        entity_id,
+        is_object,
+        x,
+        y,
+        speed,
+        t,
+        range_width,
+        range_height,
+        cn_node,
+        cn_x,
+        cn_y,
+    ) -> float:
+        half_diag = 0.5 * math.hypot(range_width, range_height)
+        (self.obj_store if is_object else self.qry_store).insert(
+            entity_id,
             abs_x=x,
             abs_y=y,
             tr_x=self.trans_x,
             tr_y=self.trans_y,
-            speed=update.speed,
-            range_w=range_w,
-            range_h=range_h,
+            speed=speed,
+            range_w=range_width,
+            range_h=range_height,
             half_diag=half_diag,
-            last_t=update.t,
-            cn_node=update.cn_node,
-            cn_x=update.cn_loc.x,
-            cn_y=update.cn_loc.y,
+            last_t=t,
+            cn_node=cn_node,
+            cn_x=cn_x,
+            cn_y=cn_y,
         )
-        self._speed_sum += update.speed
-        self.avespeed = self._speed_sum / count
-        if not is_object and half_diag > self.max_query_half_diag:
-            self.max_query_half_diag = half_diag
-        covering = self.radius
-        if count > 1:
-            covering += math.hypot(shift_x, shift_y)
-        dist = math.hypot(x - self.cx, y - self.cy)
-        self.radius = covering if covering > dist else dist
-        self._update_expiry(update.t)
+        return half_diag
+
+    def restamp(self, entity_id, is_object, x, y, speed, cn_node, cn_x, cn_y, t) -> bool:
+        store = self.obj_store if is_object else self.qry_store
+        slot = store.index[entity_id]
+        shed = store.shed[slot]
+        if (
+            not shed
+            and speed == store.speed[slot]
+            and cn_node == store.cn_node[slot]
+            and x == store.abs_x[slot] + (self.trans_x - store.tr_x[slot])
+            and y == store.abs_y[slot] + (self.trans_y - store.tr_y[slot])
+        ):
+            # Heartbeat: identical report, no version bumps (see the
+            # object-based restamp for the full rationale).
+            store.last_t[slot] = t
+            return False
+        self.version += 1
+        self.struct_version += 1
+        if shed:
+            store.shed[slot] = 0
+            store.shed_count -= 1
+            self.shed_count -= 1
+        self._speed_sum += speed - store.speed[slot]
+        n = len(self.obj_store.index) + len(self.qry_store.index)
+        self.avespeed = self._speed_sum / n
+        store.speed[slot] = speed
+        store.abs_x[slot] = x
+        store.abs_y[slot] = y
+        store.tr_x[slot] = self.trans_x
+        store.tr_y[slot] = self.trans_y
+        store.last_t[slot] = t
+        if store.cn_node[slot] != cn_node:
+            store.cn_node[slot] = cn_node
+            store.cn_x[slot] = cn_x
+            store.cn_y[slot] = cn_y
+        if n == 1:
+            self.cx = x
+            self.cy = y
+            self.radius = 0.0
+            self._update_expiry(t)
+            return True
+        dx = x - self.cx
+        dy = y - self.cy
+        dist_sq = dx * dx + dy * dy
+        if dist_sq > self.radius * self.radius:
+            self.radius = math.sqrt(dist_sq)
+        return True
 
     # ``remove`` is inherited: MemberTableView.pop returns a detached
     # ClusterMember snapshot, so the post-pop field reads keep working.
@@ -624,65 +619,6 @@ class ColumnarMovingCluster(MovingCluster):
             query_hhs,
         )
 
-    def ingest_view_columns(self):
-        """Prebuilt columns for :class:`IngestView`, or None.
-
-        Speeds/destinations/shed flags are zero-copy slices when a single
-        kind is present (concatenated otherwise); reconstructed positions
-        ``abs + (trans - tr)`` are computed vectorized with the exact
-        elementwise operation order of the scalar builder.
-        """
-        np = self._np()
-        if np is None:
-            return None
-        so, sq = self.obj_store, self.qry_store
-        if not (so.ordered and sq.ordered):
-            return None
-        n_o = len(so.index)
-        n_q = len(sq.index)
-        if n_o + n_q < VECTOR_MIN_MEMBERS:
-            return None
-        tx, ty = self.trans_x, self.trans_y
-        rows = {}
-        members = []
-        row = 0
-        for bit, store in ((1, so), (0, sq)):
-            proxy = store.proxy
-            for entity_id in store.index:
-                rows[entity_id * 2 + bit] = row
-                members.append(proxy(entity_id))
-                row += 1
-        speeds = []
-        recon_x = []
-        recon_y = []
-        cns = []
-        sheds = []
-        for store, n in ((so, n_o), (sq, n_q)):
-            if not n:
-                continue
-            rx = np.subtract(tx, np.frombuffer(store.tr_x, dtype=np.float64)[:n])
-            np.add(np.frombuffer(store.abs_x, dtype=np.float64)[:n], rx, out=rx)
-            ry = np.subtract(ty, np.frombuffer(store.tr_y, dtype=np.float64)[:n])
-            np.add(np.frombuffer(store.abs_y, dtype=np.float64)[:n], ry, out=ry)
-            speeds.append(np.frombuffer(store.speed, dtype=np.float64)[:n])
-            recon_x.append(rx)
-            recon_y.append(ry)
-            cns.append(np.frombuffer(store.cn_node, dtype=np.int64)[:n])
-            sheds.append(np.frombuffer(store.shed, dtype=np.int8)[:n])
-
-        def cat(parts):
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-        return (
-            rows,
-            members,
-            cat(speeds),
-            cat(recon_x),
-            cat(recon_y),
-            cat(cns),
-            cat(sheds),
-        )
-
     # -- maintenance support ------------------------------------------------
 
     def ensure_compact(self, np=None) -> int:
@@ -693,7 +629,7 @@ class ColumnarMovingCluster(MovingCluster):
         number of stores rebuilt.
 
         Disorder alone only matters to the vectorized paths — the
-        ordered-prefix sweeps and the zero-copy join/ingest views all bail
+        ordered-prefix sweeps and the zero-copy join views all bail
         below :data:`VECTOR_MIN_MEMBERS` anyway, and the gather fallback
         sweeps unordered stores exactly — so small clusters skip the
         rebuild and only compact to reclaim wasted capacity.  Churning

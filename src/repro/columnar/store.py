@@ -3,7 +3,7 @@
 A :class:`MemberColumnStore` keeps one kind's members (objects *or*
 queries) of one cluster in parallel ``array.array`` columns — the resting
 representation is Struct-of-Arrays, so per-tick maintenance and the SoA
-join/ingest views read the columns directly instead of rebuilding them
+join views read the columns directly instead of rebuilding them
 from per-member Python objects.
 
 Layout and invariants:
@@ -132,7 +132,7 @@ class MemberColumnStore:
         try:
             col.append(value)
         except BufferError:
-            # An exported numpy view pins the buffer (cached join/ingest
+            # An exported numpy view pins the buffer (cached join
             # views).  Copy-on-grow: the old buffer stays alive — and
             # valid, by version gating — under the view.
             fresh = array(typecode, col.tobytes())

@@ -57,7 +57,8 @@ the memoized matches came from a real kernel run over those positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import hypot
+from itertools import repeat
+from math import hypot, isfinite
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..clustering import (
@@ -68,9 +69,7 @@ from ..clustering import (
     split_cluster,
 )
 from ..generator import EntityKind, LocationUpdate, QueryUpdate, TickBatch, Update
-from ..generator.records import _EMPTY_ATTRS
 from ..geometry import Point, Rect
-from ..ingest import make_ingest_kernel
 from ..kernels import BACKEND_CHOICES, resolve_backend
 from ..network import DEFAULT_BOUNDS
 from ..shedding import AdaptiveShedder, NoShedding, SheddingPolicy
@@ -149,14 +148,6 @@ class ScubaConfig:
     #: batch fallback otherwise; ``False`` forces the per-pair driver.
     #: Answers and counters stay identical to the per-pair sweep.
     batched_join: Optional[bool] = None
-    #: Batched columnar ingest: build one
-    #: :class:`~repro.ingest.UpdateBatch` per evaluation tick and run the
-    #: steady-state cluster-maintenance fast path per cluster group
-    #: (vectorised under the NumPy backend) instead of per update.  The
-    #: ingest kernel backend follows ``kernel_backend``.  Answers and
-    #: cluster assignments stay identical to the scalar loop (see
-    #: :mod:`repro.ingest.base` for the exactness contract).
-    batched_ingest: bool = False
     #: Columnar-first storage: cluster members and table last-seen stamps
     #: rest in parallel arrays (:mod:`repro.columnar`) and post-join
     #: maintenance runs as whole-world vectorized sweeps.  Cluster state
@@ -278,14 +269,14 @@ class Scuba(StagedJoinOperator):
         else:
             self.shedder = None
         self.kernels = resolve_backend(self.config.kernel_backend)
-        # Ingest kernels are stateful (counters, member-view caches), so
-        # each operator owns a fresh instance; ``None`` keeps the scalar
-        # per-update loop byte-for-byte untouched when batching is off.
-        self.ingest_kernel = (
-            make_ingest_kernel(self.config.kernel_backend)
-            if self.config.batched_ingest
-            else None
-        )
+        #: Rows the column walk admitted as stays (no ``Update`` built) vs
+        #: rows that took the scalar path; together they equal
+        #: ``clusterer.processed``.
+        self.ingest_fast_rows = 0
+        self.ingest_fallback_rows = 0
+        #: Updates rejected at the ingest boundary for a NaN or infinite
+        #: coordinate or speed (they leave no trace in any structure).
+        self.rejected_nonfinite = 0
         # Cross-evaluation caches, all keyed on cluster version counters
         # (cids are never reused, so a stale cid can only miss or be
         # pruned, never alias).  Dropped on pickling and rebuilt lazily.
@@ -355,77 +346,146 @@ class Scuba(StagedJoinOperator):
     # -- phase 1: pre-join maintenance ------------------------------------------
 
     def on_update(self, update: Update) -> None:
-        """Cluster one incoming update (and maybe shed its position)."""
-        if update.kind is EntityKind.OBJECT:
-            self.objects_table.record(update.entity_id, update.attrs, update.t)
-        else:
-            self.queries_table.record(update.entity_id, update.attrs, update.t)
-        cluster = self.clusterer.ingest(update)
-        if not self._shed_is_noop:
-            dist = hypot(update.loc.x - cluster.cx, update.loc.y - cluster.cy)
-            self.config.shedding.apply(cluster, update, dist)
+        """Cluster one incoming update (and maybe shed its position).
 
-    def record_update(self, update: Update) -> None:
-        """Tables-only half of :meth:`on_update` (no clustering).
-
-        The batched ingest kernels record fast-path rows at their arrival
-        position and commit their cluster maintenance as a group later.
+        Validate-then-mutate: an update with a NaN or infinite coordinate
+        or speed is counted and dropped before any structure is touched.
         """
+        loc = update.loc
+        if not (isfinite(loc.x) and isfinite(loc.y) and isfinite(update.speed)):
+            self.rejected_nonfinite += 1
+            return
         if update.kind is EntityKind.OBJECT:
             self.objects_table.record(update.entity_id, update.attrs, update.t)
         else:
             self.queries_table.record(update.entity_id, update.attrs, update.t)
+        self._admit(update)
 
-    def record_updates(self, updates: Sequence[Update]) -> None:
-        """Bulk :meth:`record_update`: one tick's table rows, arrival
-        order, with the table methods bound once for the whole run.  Tick
-        batches record straight off their id/kind columns — no row
-        materialization, same table state."""
-        obj_record = self.objects_table.record
-        qry_record = self.queries_table.record
-        if isinstance(updates, TickBatch):
-            t = updates.t
-            attrs_list = updates.attrs_list
-            if attrs_list is None:
-                for eid, is_obj in zip(updates.ids, updates.kinds):
-                    if is_obj:
-                        obj_record(eid, _EMPTY_ATTRS, t)
-                    else:
-                        qry_record(eid, _EMPTY_ATTRS, t)
-            else:
-                for i, (eid, is_obj) in enumerate(
-                    zip(updates.ids, updates.kinds)
-                ):
-                    attrs = attrs_list[i]
-                    if attrs is None:
-                        attrs = _EMPTY_ATTRS
-                    if is_obj:
-                        obj_record(eid, attrs, t)
-                    else:
-                        qry_record(eid, attrs, t)
-            return
-        obj = EntityKind.OBJECT
-        for update in updates:
-            if update.kind is obj:
-                obj_record(update.entity_id, update.attrs, update.t)
-            else:
-                qry_record(update.entity_id, update.attrs, update.t)
-
-    def ingest_clustered(self, update: Update) -> None:
-        """Clustering half of :meth:`on_update` (tables already recorded)."""
+    def _admit(self, update: Update) -> MovingCluster:
+        """The scalar Leader-Follower path for one recorded row (the oracle)."""
+        self.ingest_fallback_rows += 1
         cluster = self.clusterer.ingest(update)
         if not self._shed_is_noop:
             dist = hypot(update.loc.x - cluster.cx, update.loc.y - cluster.cy)
             self.config.shedding.apply(cluster, update, dist)
+        return cluster
 
     def ingest_batch(self, updates: Sequence[Update]) -> None:
-        kernel = self.ingest_kernel
-        if kernel is None:
-            on_update = self.on_update
-            for update in updates:
-                on_update(update)
-        else:
-            kernel.run(self, updates)
+        """Ingest one tick's updates in arrival order.
+
+        A :class:`TickBatch` is admitted by the column walk
+        (:meth:`_walk_columns`) while no shedding policy is live; any other
+        sequence, and every row under live shedding, takes the per-row
+        :meth:`on_update` loop.
+        """
+        if isinstance(updates, TickBatch) and self._shed_is_noop:
+            self._walk_columns(updates)
+            return
+        on_update = self.on_update
+        for update in updates:
+            on_update(update)
+
+    def _walk_columns(self, batch: TickBatch) -> None:
+        """Column-walk admission: one in-order pass over a tick's columns.
+
+        Each row is recorded in its table, its home cluster is advanced to
+        the tick time (once per tick), and the §3.2 stay predicate of
+        :meth:`IncrementalClusterer._qualifies` — same destination,
+        singleton rule, distance and speed within the eviction slack — is
+        evaluated inline.  A stay commits through
+        :meth:`MovingCluster.restamp`, the refresh arithmetic ``absorb``
+        itself calls, without building an ``Update``.  Every other row (no
+        home, or the predicate fails) is materialized and runs the
+        unchanged scalar path (:meth:`_admit`) at its own position, so the
+        mutation sequence is the per-row loop's by construction.
+
+        The grid refresh of a stay runs only when the cluster's
+        ``(cx, cy, radius, max_query_half_diag)`` differs from its value
+        at the cluster's previous refresh in this tick — a repeat refresh
+        of an unchanged footprint cannot change its cells.  Scalar rows
+        mutate clusters outside that bookkeeping, so they drop the entries
+        of the clusters they touch (their home and the cluster they join).
+        Rows with a non-finite x, y or speed are rejected up front.
+        """
+        xs, ys, speeds, cn_xs, cn_ys, _, _ = batch.scalar_columns()
+        bad = _nonfinite_rows(xs, ys, speeds)
+        if bad:
+            self.rejected_nonfinite += len(bad)
+            batch = batch.select(i for i in range(len(batch)) if i not in bad)
+            xs, ys, speeds, cn_xs, cn_ys, _, _ = batch.scalar_columns()
+        t = batch.t
+        attrs_list = batch.attrs_list
+        home_get = self.world.home.key_map().get
+        cluster_of = self.world.storage.get
+        grid_refresh = self.world.grid.refresh
+        obj_record = self.objects_table.record
+        qry_record = self.queries_table.record
+        admit = self._admit
+        clusterer = self.clusterer
+        spec = clusterer.spec
+        same_dest = spec.require_same_destination
+        max_d = spec.theta_d * spec.eviction_slack
+        max_d_sq = max_d * max_d
+        max_s = spec.theta_s * spec.eviction_slack
+        refreshed: Dict[int, Tuple[float, float, float, float]] = {}
+        fast = 0
+        try:
+            for i, (key, x, y, speed, cn, cn_x, cn_y, attrs) in enumerate(
+                zip(
+                    batch.keys,
+                    xs,
+                    ys,
+                    speeds,
+                    batch.cns,
+                    cn_xs,
+                    cn_ys,
+                    repeat(None) if attrs_list is None else attrs_list,
+                )
+            ):
+                eid = key >> 1
+                is_object = key & 1
+                if is_object:
+                    obj_record(eid, attrs, t)
+                else:
+                    qry_record(eid, attrs, t)
+                cid = home_get(key)
+                if cid is not None:
+                    cluster = cluster_of(cid)
+                    if t > cluster.last_moved:
+                        cluster.advance_to(t)
+                    if not same_dest or cn == cluster.cn_node:
+                        # Within slack of the centroid and the average
+                        # speed — or the cluster's only member, which is
+                        # its own average and always stays.
+                        dx = x - cluster.cx
+                        dy = y - cluster.cy
+                        if (
+                            not (dx * dx + dy * dy > max_d_sq)
+                            and abs(speed - cluster.avespeed) <= max_s
+                        ) or len(cluster.objects) + len(cluster.queries) == 1:
+                            fast += 1
+                            if (
+                                cluster.restamp(
+                                    eid, is_object, x, y, speed, cn, cn_x, cn_y, t
+                                )
+                                or cid not in refreshed
+                            ):
+                                state = (
+                                    cluster.cx,
+                                    cluster.cy,
+                                    cluster.radius,
+                                    cluster.max_query_half_diag,
+                                )
+                                if refreshed.get(cid) != state:
+                                    grid_refresh(cluster)
+                                    refreshed[cid] = state
+                            continue
+                    refreshed.pop(cid, None)
+                refreshed.pop(admit(batch[i]).cid, None)
+        finally:
+            self.ingest_fast_rows += fast
+            clusterer.processed += fast
+            clusterer.fast_path_hits += fast
 
     def retract(self, entity_id: int, kind: EntityKind) -> None:
         """Forget one entity: evict it from its cluster and its table.
@@ -1239,11 +1299,9 @@ class Scuba(StagedJoinOperator):
 
     def join_counters(self) -> Dict[str, Any]:
         """Kernel/cache instrumentation folded into run statistics."""
-        kernel = self.ingest_kernel
         counters: Dict[str, Any] = {
             "kernel_backend": self.kernels.name,
             "incremental": self.config.incremental,
-            "batched_ingest": self.config.batched_ingest,
             "batched_join": self.config.batched_join_active,
             "columnar": self.config.columnar,
             "join_pairs_batched": self.join_pairs_batched,
@@ -1259,17 +1317,11 @@ class Scuba(StagedJoinOperator):
                 if self.maintenance_engine is not None
                 else 0.0
             ),
-            # Zeros when batching is off, so merged/reported stat shapes
-            # do not depend on the flag.
-            "fast_path_batched": 0,
-            "bulk_absorbs": 0,
-            "grid_refresh_deduped": 0,
-            "batch_fallbacks": 0,
+            "ingest_fast_rows": self.ingest_fast_rows,
+            "ingest_fallback_rows": self.ingest_fallback_rows,
+            "rejected_updates.nonfinite": self.rejected_nonfinite,
             "grid_refresh_skips": self.world.grid.refresh_skips,
         }
-        if kernel is not None:
-            counters["ingest_backend"] = kernel.name
-            counters.update(kernel.counters())
         if self.maintenance_engine is not None:
             counters["columnar_backend"] = self.maintenance_engine.resolved_name
         counters.update(self._join_cache_counters())
@@ -1316,7 +1368,6 @@ class Scuba(StagedJoinOperator):
         state = self.__dict__.copy()
         for transient in (
             "kernels",
-            "ingest_kernel",
             "_view_cache",
             "_between_cache",
             "_seen_pairs",
@@ -1332,11 +1383,6 @@ class Scuba(StagedJoinOperator):
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self.kernels = resolve_backend(self.config.kernel_backend)
-        self.ingest_kernel = (
-            make_ingest_kernel(self.config.kernel_backend)
-            if self.config.batched_ingest
-            else None
-        )
         self._view_cache = {}
         self._between_cache = {}
         self._seen_pairs = set()
@@ -1357,3 +1403,21 @@ class Scuba(StagedJoinOperator):
             f"{len(self.queries_table)} queries, "
             f"shedding={self.config.shedding!r})"
         )
+
+
+def _nonfinite_rows(
+    xs: Sequence[float], ys: Sequence[float], speeds: Sequence[float]
+) -> Set[int]:
+    """Positions of rows whose x, y or speed is NaN or infinite.
+
+    A column sum is finite only if every entry is (NaN and ±inf propagate),
+    so the clean common case costs three C-level sums; only a non-finite
+    sum (or a finite overflow) pays the per-row scan.
+    """
+    if isfinite(sum(xs)) and isfinite(sum(ys)) and isfinite(sum(speeds)):
+        return set()
+    return {
+        i
+        for i, (x, y, speed) in enumerate(zip(xs, ys, speeds))
+        if not (isfinite(x) and isfinite(y) and isfinite(speed))
+    }

@@ -1,11 +1,12 @@
 """TickBatch: one tick of the update stream in structure-of-arrays form.
 
-The generator's scalar ``tick()`` emits a ``List[Update]`` that batched
-ingest immediately re-packs into columns and the process executor pickles
-object-by-object.  :class:`TickBatch` makes the SoA layout the *native*
-representation: the vectorized generator core writes columns directly, the
-ingest kernels read them without materializing rows, and shard transport
-pickles a handful of arrays instead of thousands of objects.
+The generator's scalar ``tick()`` emits a ``List[Update]`` that the process
+executor pickles object-by-object.  :class:`TickBatch` makes the SoA layout
+the *native* representation: the vectorized generator core writes columns
+directly, SCUBA's column walk (``Scuba.ingest_batch``) admits rows straight
+from them without materializing ``Update`` objects for rows that stay in
+their cluster, and shard transport pickles a handful of arrays instead of
+thousands of objects.
 
 Compatibility is preserved by making the batch a real ``Sequence[Update]``:
 ``len``/iteration/indexing lazily materialize :class:`LocationUpdate` /
@@ -177,8 +178,9 @@ class TickBatch(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _scalar_columns(self):
-        """Python-scalar versions of the float columns, cached once."""
+    def scalar_columns(self):
+        """Python-scalar versions of the float columns, cached once:
+        ``(xs, ys, speeds, cn_xs, cn_ys, ws, hs)``."""
         scalars = self._scalars
         if scalars is None:
             scalars = (
@@ -198,13 +200,13 @@ class TickBatch(Sequence):
         """Connection-node location per row, as shared ``Point`` objects."""
         points = self._cn_points
         if points is None:
-            _, _, _, cn_xs, cn_ys, _, _ = self._scalar_columns()
+            _, _, _, cn_xs, cn_ys, _, _ = self.scalar_columns()
             points = [Point(x, y) for x, y in zip(cn_xs, cn_ys)]
             self._cn_points = points
         return points
 
     def _materialize(self, i: int) -> Update:
-        xs, ys, speeds, _, _, ws, hs = self._scalar_columns()
+        xs, ys, speeds, _, _, ws, hs = self.scalar_columns()
         loc = Point(xs[i], ys[i])
         cn_loc = self.cn_points[i]
         attrs = self.attrs_list[i] if self.attrs_list is not None else None
@@ -263,7 +265,7 @@ class TickBatch(Sequence):
     def select(self, indices) -> "TickBatch":
         """A new batch holding the given rows (list columns, same ``t``)."""
         idx = list(indices)
-        xs, ys, speeds, cn_xs, cn_ys, ws, hs = self._scalar_columns()
+        xs, ys, speeds, cn_xs, cn_ys, ws, hs = self.scalar_columns()
         ids, kinds, cns = self.ids, self.kinds, self.cns
         keys = self._keys
         cn_points = self._cn_points
@@ -296,11 +298,10 @@ class TickBatch(Sequence):
         pays bounds checks, a row-cache probe and seven column accessor
         calls per row; a whole-tick consumer iterating a fresh batch pays
         that for every row.  One zip loop over the scalar columns builds
-        the same rows at roughly half the cost — this is the hot path of
-        non-batched ingest, where every generated tick is re-materialized
-        into row objects.
+        the same rows at roughly half the cost — the hot path of every
+        consumer that ingests a tick row by row.
         """
-        xs, ys, speeds, _, _, ws, hs = self._scalar_columns()
+        xs, ys, speeds, _, _, ws, hs = self.scalar_columns()
         cn_points = self.cn_points
         attrs_list = self.attrs_list
         if attrs_list is None:
@@ -361,7 +362,7 @@ class TickBatch(Sequence):
 
         ``Sequence`` would synthesize iteration from per-index
         ``__getitem__`` calls; on a fresh batch that per-row protocol
-        roughly doubles non-batched ingest time versus one fused pass.
+        roughly doubles row-by-row ingest time versus one fused pass.
         """
         return iter(self.materialize())
 

@@ -63,7 +63,7 @@ def _batch_to_dicts(batch: TickBatch) -> List[Dict]:
     scalars via the batch's cached scalar columns) without materialising
     update objects.
     """
-    xs, ys, speeds, cn_xs, cn_ys, ws, hs = batch._scalar_columns()
+    xs, ys, speeds, cn_xs, cn_ys, ws, hs = batch.scalar_columns()
     t = batch.t
     cns = batch.cns
     attrs_list = batch.attrs_list
@@ -215,7 +215,7 @@ class TraceReplayer:
         for update in updates:
             self._latest[(update.kind, update.entity_id)] = update
         try:
-            # Column-pack the tick so replay feeds the same batched ingest
+            # Column-pack the tick so replay feeds the same column walk
             # and transport paths as a live generator.
             return TickBatch.from_updates(self.time, updates)
         except ValueError:

@@ -411,7 +411,7 @@ class ShardedStagePlan(StagePlan):
         keys = batch.keys
         ids = batch.ids
         kinds = batch.kinds
-        xs, ys = batch._scalar_columns()[:2]
+        xs, ys = batch.scalar_columns()[:2]
         rows: List[List[int]] = [[] for _ in range(k)]
         retracts: List[List[Tuple[int, Retract]]] = [[] for _ in range(k)]
         obj, qry = EntityKind.OBJECT, EntityKind.QUERY

@@ -117,9 +117,9 @@ def _apply_ops(operator, ops: Sequence[ShardOp]) -> int:
     """Apply one tick's operations in order; returns updates ingested.
 
     Maximal runs of consecutive updates go through the operator's
-    ``ingest_batch`` (Retracts are run boundaries applied in place), so a
-    batched ingest path sees whole-tick groups while the op order — and
-    therefore the resulting state — matches the one-at-a-time loop.
+    ``ingest_batch`` (Retracts are run boundaries applied in place), so the
+    column walk sees whole-tick runs while the op order — and therefore
+    the resulting state — matches the one-at-a-time loop.
     """
     if isinstance(ops, BatchShardOps):
         return _apply_batch_ops(operator, ops)

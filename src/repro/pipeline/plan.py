@@ -95,8 +95,8 @@ class OperatorPlan(StagePlan):
         )
 
     def ingest(self, ctx: EvaluationContext, updates: Sequence[Any]) -> None:
-        # One tick per call: operators with a batched ingest path process
-        # the tick as a group; the default is the per-update loop.
+        # One tick per call: SCUBA admits the tick by its column walk;
+        # the default is the per-update loop.
         self.operator.ingest_batch(updates)
 
     def join(self, ctx: EvaluationContext) -> None:

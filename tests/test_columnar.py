@@ -5,7 +5,7 @@ array-backed resting representation is invisible in the results: every
 interval's match multiset — and the full cluster state (memberships,
 member fields, centroids, version counters) — is bit-identical to the
 object-based path, for any composition of shedding, splitting,
-incremental replay, batched ingest and sharded execution, under both the
+incremental replay and sharded execution, under both the
 numpy backend and the stdlib-``array`` scalar fallback.  The mechanics
 tested alongside: member-position reconstruction across
 ``flush_transform``, slot reuse after eviction, store compaction,
@@ -71,12 +71,11 @@ def make_generator(city, seed, update_fraction=1.0, stopped_fraction=0.0):
     )
 
 
-def make_config(columnar, backend="auto", incremental=False, batched=False,
-                eta=0.0, split=False, stale_after=None):
+def make_config(columnar, backend="auto", incremental=False, eta=0.0,
+                split=False, stale_after=None):
     return ScubaConfig(
         delta=2.0,
         incremental=incremental,
-        batched_ingest=batched,
         shedding=policy_for_eta(eta, 100.0),
         kernel_backend="auto",
         split_at_destination=split,
@@ -408,7 +407,7 @@ class TestEquivalence:
         assert full_state(op) == full_state(ref_op)
 
     def test_composes_with_everything(self, city):
-        cfg = dict(incremental=True, batched=True, eta=0.3, split=True)
+        cfg = dict(incremental=True, eta=0.3, split=True)
         ref_sink, ref_op = serial_run(
             city, make_config(columnar=False, **cfg), 5, stopped_fraction=0.5
         )
@@ -452,20 +451,17 @@ class TestEquivalence:
         stopped=st.sampled_from([0.0, 0.5, 1.0]),
         eta=st.sampled_from([0.0, 0.3]),
         incremental=st.booleans(),
-        batched=st.booleans(),
     )
-    def test_randomized_sweep(self, seed, stopped, eta, incremental, batched):
+    def test_randomized_sweep(self, seed, stopped, eta, incremental):
         city = grid_city(rows=9, cols=9)
         ref_sink, ref_op = serial_run(
             city,
-            make_config(columnar=False, incremental=incremental,
-                        batched=batched, eta=eta),
+            make_config(columnar=False, incremental=incremental, eta=eta),
             seed, intervals=3, stopped_fraction=stopped,
         )
         sink, op = serial_run(
             city,
-            make_config(columnar=True, incremental=incremental,
-                        batched=batched, eta=eta),
+            make_config(columnar=True, incremental=incremental, eta=eta),
             seed, intervals=3, stopped_fraction=stopped,
         )
         assert interval_multisets(sink) == interval_multisets(ref_sink)

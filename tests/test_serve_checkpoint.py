@@ -4,7 +4,7 @@ The contract under test: a run that snapshots at an interval barrier,
 dies, and resumes from the snapshot produces (a) the same answer
 multiset and (b) bit-identical final operator state (canonical digest)
 as a run that was never interrupted — for the serial and the sharded
-engine, with the incremental sweep and batched ingest on or off.
+engine, with the incremental sweep or columnar storage on or off.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ QUERY_RANGE = (120.0, 120.0)
 SCUBA_VARIANTS = {
     "plain": {},
     "incremental": {"incremental": True},
-    "batched": {"batched_ingest": True},
     "columnar": {"columnar": True},
 }
 
